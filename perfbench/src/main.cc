@@ -1,6 +1,6 @@
 // perfbench: the wmesh end-to-end benchmark.
 //
-//   perfbench --workload gen|analyze|serve --seed N --seconds S --trace 0|1
+//   perfbench --workload gen|analyze --seed N --seconds S --trace 0|1
 //             [--out DIR] [--small] [--corrupt gen|analyze|serve]
 //
 // Prints one line per metric ("name value unit"), then, as the last line of
@@ -24,7 +24,7 @@ namespace {
 int usage(const char* why) {
   std::fprintf(stderr,
                "perfbench: %s\n"
-               "usage: perfbench --workload gen|analyze|serve --seed N "
+               "usage: perfbench --workload gen|analyze --seed N "
                "--seconds S --trace 0|1 [--out DIR] [--small] "
                "[--corrupt gen|analyze|serve]\n",
                why);

@@ -92,8 +92,19 @@ std::vector<SpanRecord> Tracer::spans() const {
   return closed_;
 }
 
-std::map<std::string, double> Tracer::self_ms_by_layer() const {
-  const std::vector<SpanRecord> all = spans();
+std::size_t Tracer::span_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return closed_.size();
+}
+
+std::map<std::string, double> Tracer::self_ms_by_layer(std::size_t from) const {
+  std::vector<SpanRecord> all;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    all.assign(closed_.begin() + static_cast<std::ptrdiff_t>(
+                                     std::min(from, closed_.size())),
+               closed_.end());
+  }
   std::map<std::uint64_t, std::vector<const SpanRecord*>> children;
   for (const auto& s : all) children[s.parent].push_back(&s);
 

@@ -93,11 +93,12 @@ class Tracer {
 
   // Closed spans so far, in closing order.
   std::vector<SpanRecord> spans() const;
+  std::size_t span_count() const;
 
-  // Self time per layer (the span-name prefix before the first '.'): each
-  // span's duration minus the part of it covered by its child spans,
-  // summed per layer, in milliseconds.
-  std::map<std::string, double> self_ms_by_layer() const;
+  // Self time per layer (the span-name prefix before the first '.') of the
+  // spans closed from index `from` on: each span's duration minus the part
+  // of it covered by its child spans, summed per layer, in milliseconds.
+  std::map<std::string, double> self_ms_by_layer(std::size_t from) const;
 
   // Writes every closed span as a JSON array; false on I/O error.
   bool write_json(const std::string& path) const;

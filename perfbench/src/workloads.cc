@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <random>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "core/lookup_table.h"
 #include "core/report.h"
 #include "core/report_partials.h"
+#include "obs/metrics.h"
 #include "obs/socket_util.h"
 #include "par/thread_pool.h"
 #include "serve/daemon.h"
@@ -39,7 +41,6 @@ using wmesh::GeneratorConfig;
 // Set-ups per run; setup_s is their median.  Cheap set-ups repeat more.
 constexpr int kSetupRepeats = 3;
 constexpr int kGenSetupRepeats = 25;
-constexpr int kServeSetupRepeats = 9;
 constexpr int kOwnMinIters = 3;   // own-stage iterations, at least
 constexpr int kCompanionGenIters = 4;
 constexpr int kCompanionAnalyzeIters = 5;
@@ -121,6 +122,12 @@ double file_bytes(const std::string& path) {
   return f ? static_cast<double>(f.tellg()) : 0.0;
 }
 
+// The library's running count of WSNAP bytes its loads have read.
+double store_bytes_read() {
+  return static_cast<double>(
+      wmesh::obs::Registry::instance().counter("store.bytes_read").value());
+}
+
 void flip_byte(const std::string& path) {
   std::string bytes;
   if (!read_file(path, &bytes) || bytes.empty()) return;
@@ -152,13 +159,17 @@ class Stage {
   virtual void step(int i) = 0;
   virtual void finish() = 0;
 
-  // Own stage: steps it needs beyond the measured seconds.
-  virtual bool own_needs_more(int steps) const {
-    return steps < kOwnMinIters;
-  }
   // Companion: the steps it plans, and whether `steps` are enough.
   virtual int planned() const = 0;
   virtual bool companion_done(int steps) const { return steps >= planned(); }
+
+  // Units of work in the last step, the divisor of its per-layer self
+  // time: one step, or the queries of a serve session.
+  virtual double step_units() const { return 1.0; }
+
+  // Traced steps only: self time per layer of each step's spans, per unit
+  // of work (see run_step).
+  std::map<std::string, std::vector<double>> self_ms;
 
  protected:
   // Headline samples of the own stage, split by whether the step was
@@ -227,6 +238,7 @@ class GenStage : public Stage {
     c_.check(h == first_hash_, "gen: WSNAP bytes differ between iterations");
     if (c_.corrupt("gen")) flip_byte(path_);
     Dataset back;
+    const double read0 = store_bytes_read();
     const double t3 = now_s();
     bool loaded = false;
     {
@@ -234,6 +246,7 @@ class GenStage : public Stage {
       loaded = wmesh::store::load_wsnap(path_, &back, &err);
     }
     load_ms_.push_back(1e3 * (now_s() - t3));
+    bytes_read_ = store_bytes_read() - read0;
     c_.check(loaded && back.networks.size() == ds.networks.size() &&
                  back.total_probe_sets() == ds.total_probe_sets(),
              "gen: WSNAP re-load: " + err);
@@ -251,7 +264,7 @@ class GenStage : public Stage {
     c_.layer("store.save_ms", median(save_ms_), "ms");
     c_.layer("store.load_ms", median(load_ms_), "ms");
     c_.layer("store.bytes_written", bytes_, "bytes");
-    c_.layer("store.bytes_read", bytes_, "bytes");
+    c_.layer("store.bytes_read", bytes_read_, "bytes");
     if (!c_.opt.trace) return;
 
     // Attribution: each network as its own slice, one at a time, so the
@@ -282,7 +295,7 @@ class GenStage : public Stage {
       save_ms_, load_ms_;
   std::uint64_t first_hash_ = 0;
   std::size_t entries_ = 0;
-  double bytes_ = 0.0;
+  double bytes_ = 0.0, bytes_read_ = 0.0;
 };
 
 // ------------------------------------------------------------ analyze --
@@ -386,9 +399,11 @@ void attribute_analyze(Ctx& c, const std::string& wsnap,
   c.layer("lookup.observations", observations, "count");
   ds = Dataset();
 
-  // FleetAnalyzer's two passes, step by step: pass 1 folds the global
-  // look-up tables, pass 2 collects each shard against them and merges in
-  // shard order.
+  // FleetAnalyzer::run("etx") replayed step by step from outside, with
+  // its shard skips, one cache across shards and per-trace invalidation:
+  // pass 1 folds the global look-up tables, pass 2 collects each shard
+  // against them and merges in shard order.  A copy: a change to the real
+  // loop moves fleet_nt_s but not these timings unless it is mirrored here.
   wmesh::store::FleetReader reader;
   c.check(reader.open(manifest), "analyze: open " + manifest);
   double load_ms = 0.0, collect_ms = 0.0, merge_ms = 0.0;
@@ -397,6 +412,7 @@ void attribute_analyze(Ctx& c, const std::string& wsnap,
   {
     Span span("store.fleet_global_pass");
     for (std::size_t s = 0; s < reader.shard_count(); ++s) {
+      if (reader.manifest().shards[s].probe_sets == 0) continue;
       Dataset shard;
       const double t0 = now_s();
       {
@@ -408,7 +424,11 @@ void attribute_analyze(Ctx& c, const std::string& wsnap,
     }
   }
   c.layer("fleet.global_pass_ms", 1e3 * (now_s() - g0), "ms");
+  // Pass 2 skips client-free shards only for client-sample-only analyses,
+  // which etx is not, so every shard is collected.
+  wmesh::AnalysisCache cache;
   wmesh::ReportPartials acc;
+  acc.sections = wmesh::kSectionAll;
   for (std::size_t s = 0; s < reader.shard_count(); ++s) {
     Dataset shard;
     double t0 = now_s();
@@ -417,22 +437,18 @@ void attribute_analyze(Ctx& c, const std::string& wsnap,
       c.check(reader.load_shard(s, &shard), "analyze: " + reader.error());
     }
     load_ms += 1e3 * (now_s() - t0);
-    wmesh::AnalysisCache cache;
     t0 = now_s();
     wmesh::ReportPartials p;
     {
       Span span("core.collect");
       p = wmesh::collect_report(shard, wmesh::kSectionAll, &tables, cache);
     }
+    for (const wmesh::NetworkTrace& nt : shard.networks) cache.invalidate(&nt);
     collect_ms += 1e3 * (now_s() - t0);
     t0 = now_s();
     {
       Span span("store.fleet_merge");
-      if (s == 0) {
-        acc = std::move(p);
-      } else {
-        wmesh::merge_report(acc, std::move(p));
-      }
+      wmesh::merge_report(acc, std::move(p));
     }
     merge_ms += 1e3 * (now_s() - t0);
   }
@@ -489,11 +505,13 @@ class AnalyzeStage : public Stage {
     const double it0 = now_s();
     Dataset ds;
     std::string err;
+    const double read0 = store_bytes_read();
     {
       Span span("store.load");
       c_.check(wmesh::store::load_wsnap(wsnap_, &ds, &err), "analyze: " + err);
     }
     load_ms_.push_back(1e3 * (now_s() - it0));
+    bytes_read_ = store_bytes_read() - read0;
 
     double t0 = now_s();
     const std::string one = with_threads(c_, 1, [&] {
@@ -545,7 +563,7 @@ class AnalyzeStage : public Stage {
       c_.layer("store.save_ms", save_ms_, "ms");
       c_.layer("store.bytes_written", file_bytes(wsnap_), "bytes");
       c_.layer("store.load_ms", median(load_ms_), "ms");
-      c_.layer("store.bytes_read", file_bytes(wsnap_), "bytes");
+      c_.layer("store.bytes_read", bytes_read_, "bytes");
     }
     c_.layer("par.scaling", median(t1s_) / median(tns_), "ratio");
     c_.layer("fleet.shards_opened", shards_opened_, "count");
@@ -560,7 +578,7 @@ class AnalyzeStage : public Stage {
       c_.path(own_ ? "analyze-fleet" : "analyze-companion-fleet");
   const std::string manifest_ = wmesh::store::manifest_path(prefix_);
   std::vector<double> t1s_, tns_, fleet_s_, cpu_, load_ms_, fleet_rss_;
-  double save_ms_ = 0.0;
+  double save_ms_ = 0.0, bytes_read_ = 0.0;
   double shards_opened_ = 0.0;
   std::string reference_;
 };
@@ -583,12 +601,11 @@ constexpr std::array<Command, 11> kCommands = {{
     {"stats", "stats", false},
 }};
 
-// The query mix, one deck of command indices shuffled per pass: fleet-wide
-// `etx` twice and every other fleet-wide command once, 13 per-network
-// queries and 2 `stats`.  Cheap queries are the majority, so the median
-// lies inside the cheap class and p95 inside `etx`, not on a class edge.
-constexpr std::array<int, 24> kDeck = {0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8,
-                                       8, 8, 8, 8, 9, 9, 9, 9, 9, 9, 10, 10};
+// The query mix, one deck of command indices shuffled per pass: one card
+// per served command, unweighted.  No recorded query traffic exists to
+// weight the commands by.
+constexpr std::array<int, kCommands.size()> kDeck = {0, 1, 2, 3, 4, 5,
+                                                     6, 7, 8, 9, 10};
 
 std::string command_line(const Command& cmd, std::uint32_t id) {
   std::string line = cmd.verb;
@@ -665,10 +682,8 @@ struct QuerySample {
 
 struct SessionResult {
   std::vector<QuerySample> samples;
-  double start_s = 0.0;        // ServeDaemon::start
   double ingest_s = 0.0;       // run() start until the stream is drained
   double client_s = 0.0;       // client wall time, summed over clients
-  double cpu_s = 0.0;
   std::uint64_t rounds = 0;
   double invalidations = 0.0;  // from `stats`
   double hit_ratio = 0.0;      // from `stats`
@@ -715,21 +730,19 @@ void client_loop(Ctx& c, const std::string& address, std::uint64_t seed,
   }
 }
 
-// Starts a daemon on the run's socket; *start_s gets the start time.
+// Starts a daemon on the run's socket.
 std::unique_ptr<wmesh::serve::ServeDaemon> start_daemon(
-    Ctx& c, const GeneratorConfig& cfg, int tick_sleep_ms, double* start_s) {
+    Ctx& c, const GeneratorConfig& cfg, int tick_sleep_ms) {
   wmesh::serve::DaemonOptions opts;
   opts.service.gen = cfg;
   opts.listen = "unix:" + c.path("serve.sock");
   opts.tick_sleep_ms = tick_sleep_ms;
   std::string err;
-  const double t0 = now_s();
   std::unique_ptr<wmesh::serve::ServeDaemon> daemon;
   {
     Span span("serve.daemon_start");
     daemon = wmesh::serve::ServeDaemon::start(opts, &err);
   }
-  *start_s = now_s() - t0;
   c.check(daemon != nullptr, "serve: start: " + err);
   return daemon;
 }
@@ -740,8 +753,7 @@ std::unique_ptr<wmesh::serve::ServeDaemon> start_daemon(
 SessionResult serve_session(Ctx& c, const GeneratorConfig& cfg,
                             std::uint64_t session) {
   SessionResult r;
-  const double c0 = cpu_s();
-  auto daemon = start_daemon(c, cfg, kTickSleepMs, &r.start_s);
+  auto daemon = start_daemon(c, cfg, kTickSleepMs);
   if (daemon == nullptr) return r;
   const std::string address = daemon->query_address();
 
@@ -795,7 +807,6 @@ SessionResult serve_session(Ctx& c, const GeneratorConfig& cfg,
   daemon->request_shutdown();
   runner.join();
   daemon.reset();
-  r.cpu_s = cpu_s() - c0;
   return r;
 }
 
@@ -806,8 +817,7 @@ void attribute_serve(Ctx& c, const GeneratorConfig& cfg) {
   {
     // One `stats` query sent shortly after an unpaced ingest starts: how
     // long a reader waits beside a writer that never pauses.
-    double start_s = 0.0;
-    auto daemon = start_daemon(c, cfg, 0, &start_s);
+    auto daemon = start_daemon(c, cfg, 0);
     if (daemon == nullptr) return;
     std::thread runner([&daemon] { daemon->run(); });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -874,46 +884,36 @@ void attribute_serve(Ctx& c, const GeneratorConfig& cfg) {
 // An in-process ServeDaemon on a unix socket, one per session: it ingests
 // the stream while two closed-loop clients query it.  Check: no `err`
 // reply or timeout, and served exor/hidden/paths equal the batch reports
-// over the final window.
+// over the final window.  Serve runs only as a companion, on the full
+// default stream, in every workload.
 class ServeStage : public Stage {
  public:
   using Stage::Stage;
 
-  // Set-up: one daemon start (fleet, stream state, socket bind), repeated
-  // for a median; each session then starts its own.
-  void setup() override {
-    if (!own_) return;
-    for (int r = 0; r < kServeSetupRepeats; ++r) {
-      double s = 0.0;
-      start_daemon(c_, cfg_, kTickSleepMs, &s);
-      c_.setup_s.push_back(s);
-    }
-  }
+  // Each session starts its own daemon.
+  void setup() override {}
 
   void step(int i) override {
     sessions_.push_back(serve_session(c_, cfg_, static_cast<std::uint64_t>(i)));
     samples_ += sessions_.back().samples.size();
-    for (const QuerySample& q : sessions_.back().samples) headline(i, q.ms);
   }
 
-  // A traced run alternates untraced and traced sessions, so it needs two;
-  // every run needs enough samples for a tail-backed p95.
-  bool own_needs_more(int steps) const override {
-    return steps < (c_.opt.trace ? 2 : 1) ||
-           (samples_ < kMinQueries && steps < kMaxSessions);
-  }
+  // At least one session, and enough samples for a tail-backed p95.
   int planned() const override { return 1; }
   bool companion_done(int steps) const override {
     return steps >= kMaxSessions ||
            (steps >= planned() && samples_ >= kMinQueries);
   }
+  double step_units() const override {
+    return static_cast<double>(
+        std::max<std::size_t>(sessions_.back().samples.size(), 1));
+  }
 
   void finish() override {
-    std::vector<double> all, cpu, ingest, invalidations, hit_ratio;
+    std::vector<double> all, ingest, invalidations, hit_ratio;
     std::array<std::vector<double>, kCommands.size()> by_cmd, later;
     double client_s = 0.0;
     for (const SessionResult& s : sessions_) {
-      cpu.push_back(s.cpu_s);
       ingest.push_back(static_cast<double>(s.rounds) / s.ingest_s);
       invalidations.push_back(s.invalidations);
       hit_ratio.push_back(s.hit_ratio);
@@ -946,7 +946,6 @@ class ServeStage : public Stage {
            std::to_string(all.size()) + " queries, " +
                std::to_string(sessions_.size()) + " sessions");
     c_.e2e_median("ingest_rounds_per_s", ingest, "1/s");
-    if (own_) c_.e2e_median("cpu_s", cpu, "s");
     for (std::size_t k = 0; k < kCommands.size(); ++k) {
       c_.layer(std::string("serve.query.") + kCommands[k].metric + "_p50_ms",
                median(by_cmd[k]), "ms");
@@ -962,12 +961,13 @@ class ServeStage : public Stage {
   std::size_t samples_ = 0;
 };
 
-// Serve always runs on the full default stream: a companion session on a
-// shorter one answers too few queries for steady percentiles.
+// Serve is never a workload's own stage, and it runs on the full default
+// stream: a session on a shorter one answers too few queries for steady
+// percentiles.
 std::unique_ptr<Stage> make_stage(const std::string& name, Ctx& c, bool own) {
   if (name == "gen") return std::make_unique<GenStage>(c, own, own);
   if (name == "analyze") return std::make_unique<AnalyzeStage>(c, own, own);
-  if (name == "serve") return std::make_unique<ServeStage>(c, own, true);
+  if (name == "serve" && !own) return std::make_unique<ServeStage>(c, false, true);
   return nullptr;
 }
 
@@ -990,6 +990,17 @@ bool run_workload(const Options& options, RunResult* result) {
   for (auto& s : companions) s->setup();
   own->setup();
 
+  // Runs one step.  Steps never overlap, so the spans closed during a
+  // traced step are that step's; their self time per layer, divided by the
+  // step's units of work, goes to the stage.
+  auto run_step = [&](Stage& s, int i) {
+    const std::size_t from = tracer.span_count();
+    s.step(i);
+    if (!tracer.enabled()) return;
+    for (const auto& [layer, ms] : tracer.self_ms_by_layer(from)) {
+      s.self_ms[layer].push_back(ms / s.step_units());
+    }
+  };
   // The own stage runs for the measured seconds; after each of its steps
   // the companions catch up to the same fraction of their planned work, so
   // their samples spread over the whole run instead of one burst.
@@ -1000,22 +1011,22 @@ bool run_workload(const Options& options, RunResult* result) {
       Stage& s = *companions[k];
       while (!s.companion_done(done[k]) &&
              (fraction >= 1.0 || done[k] < std::ceil(fraction * s.planned()))) {
-        s.step(done[k]++);
+        run_step(s, done[k]++);
       }
     }
   };
   // A step is not started when it would end more than half a step past
-  // the measured seconds (serve steps are whole daemon sessions).
+  // the measured seconds.
   const double t0 = now_s();
   double last_step = 0.0;
-  for (int i = 0; own->own_needs_more(i) ||
-                  now_s() - t0 + 0.5 * last_step < options.seconds;
+  for (int i = 0;
+       i < kOwnMinIters || now_s() - t0 + 0.5 * last_step < options.seconds;
        ++i) {
     // In a traced run the own stage alternates untraced and traced steps,
     // so the tracing overhead is measured within one process.
     tracer.set_enabled(options.trace && i % 2 == 1);
     const double s0 = now_s();
-    own->step(i);
+    run_step(*own, i);
     last_step = now_s() - s0;
     catch_up(std::min(0.999, (now_s() - t0) / options.seconds));
   }
@@ -1029,11 +1040,17 @@ bool run_workload(const Options& options, RunResult* result) {
   c.e2e_median("setup_s", c.setup_s, "s");
   c.e2e("peak_rss_mb", peak_rss_mb(), "MiB", "process peak");
   if (options.trace) {
-    const auto self = tracer.self_ms_by_layer();
+    // A layer's self time per unit of work: for each stage, the median over
+    // its traced steps (per query for serve), summed over the stages.
+    std::vector<Stage*> stages = {own.get()};
+    for (auto& s : companions) stages.push_back(s.get());
     for (const char* layer : {"sim", "store", "core", "serve"}) {
-      const auto it = self.find(layer);
-      c.layer(std::string(layer) + ".self_ms",
-              it == self.end() ? 0.0 : it->second, "ms");
+      double ms = 0.0;
+      for (const Stage* s : stages) {
+        const auto it = s->self_ms.find(layer);
+        if (it != s->self_ms.end()) ms += median(it->second);
+      }
+      c.layer(std::string(layer) + ".self_ms", ms, "ms");
     }
     c.layer("trace.overhead_pct",
             100.0 * (median(c.traced) / median(c.untraced) - 1.0), "%");

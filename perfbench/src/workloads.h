@@ -1,10 +1,10 @@
 // The benchmark's three stages -- gen, analyze, serve -- and the workloads
 // built from them.
 //
-// A workload runs its own stage on the default fleet for the measured
-// seconds, and the other two stages as companions with a fixed amount of
-// work, so that every end-to-end and per-layer metric is measured on every
-// workload (see NOTES.md).
+// A workload (gen or analyze) runs its own stage on the default fleet for
+// the measured seconds, and the other two stages as companions with a fixed
+// amount of work, so that every end-to-end and per-layer metric is measured
+// on every workload (see NOTES.md).  Serve is always a companion.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,7 @@
 namespace perfbench {
 
 struct Options {
-  std::string workload;      // gen | analyze | serve
+  std::string workload;      // gen | analyze
   std::uint64_t seed = 0;
   double seconds = 10.0;     // measured time of the workload's own stage
   bool trace = false;        // record spans, report per-layer metrics
