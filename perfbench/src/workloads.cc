@@ -42,12 +42,19 @@ using wmesh::GeneratorConfig;
 constexpr int kSetupRepeats = 3;
 constexpr int kGenSetupRepeats = 25;
 constexpr int kOwnMinIters = 3;   // own-stage iterations, at least
-constexpr int kCompanionGenIters = 4;
-constexpr int kCompanionAnalyzeIters = 5;
+constexpr int kCompanionGenIters = 5;
+constexpr int kCompanionAnalyzeIters = 2;
+constexpr int kMultiThreadedRepeats = 2;  // N-thread and fleet runs per analyze step
+constexpr int kServeSessions = 2;         // serve sessions per run, planned
 constexpr std::size_t kMinQueries = 250;  // serve samples per stage, at least
 constexpr int kMaxSessions = 60;
 constexpr std::size_t kShards = 4;
 constexpr std::size_t kClients = 2;
+// Pool size of the serve sessions, as `wmesh_serve --threads=1`.  The
+// service mutex already runs one tick or query at a time.  At N threads
+// the session figures swung with other tenants' load on a shared host; at
+// one thread much less (see NOTES.md).
+constexpr std::size_t kServeThreads = 1;
 constexpr double kMiB = 1024.0 * 1024.0;
 // Wall pause between probe rounds in the serve sessions.  Unpaced, the
 // ingest loop re-takes the service mutex as soon as it drops it and the
@@ -95,8 +102,9 @@ struct Ctx {
   }
   bool corrupt(const char* stage) const { return opt.corrupt == stage; }
 
-  // The fleet a stage runs on: the default fleet at full scale,
-  // companion_config() otherwise, small_config() for every stage in the
+  // The fleet a stage runs on: the default fleet at full scale (every own
+  // stage and the analyze companion), companion_config() for the gen
+  // companion, small_config() for every stage in the
   // self-test.  All keep their configured generator seed: the fleet's size
   // mix, and with it the amount of work, changes from seed to seed by more
   // than any bound the benchmark could hold, and the default fleet is the
@@ -106,13 +114,24 @@ struct Ctx {
     return full ? wmesh::default_config() : companion_config();
   }
 
-  // Companion fleet: the default fleet with one hour of probes instead of
-  // four, so companion operations are a quarter of the default-scale ones
+  // Fleet of the gen companion: the default fleet with one hour of probes
+  // instead of four, so a companion step is a quarter of a full-scale one
   // -- large enough that a few milliseconds of scheduling noise do not
-  // move their medians, small enough to leave the run to the own stage.
+  // move its median, small enough to leave the run to the own stage.
   static GeneratorConfig companion_config() {
     GeneratorConfig cfg = wmesh::default_config();
     cfg.probes.duration_s = 3600.0;
+    return cfg;
+  }
+
+  // The stream one serve session ingests: the default fleet with 90
+  // minutes of probes (135 rounds).  The report window fills in the first
+  // 30, so most queries see a full window; two sessions per run spread the
+  // serve samples over the run instead of one block.
+  GeneratorConfig serve_stream() const {
+    if (opt.small) return wmesh::small_config();
+    GeneratorConfig cfg = wmesh::default_config();
+    cfg.probes.duration_s = 1.5 * 3600.0;
     return cfg;
   }
 };
@@ -520,35 +539,42 @@ class AnalyzeStage : public Stage {
     });
     t1s_.push_back(now_s() - t0);
 
-    t0 = now_s();
+    // The multi-threaded runs are the noisiest on a shared host, so a step
+    // takes kMultiThreadedRepeats samples of each.  The dataset is freed
+    // before the out-of-core runs.
     std::string many;
-    {
-      Span span("core.report_nt");
-      many = wmesh::run_report(ds, "etx");
+    for (int r = 0; r < kMultiThreadedRepeats; ++r) {
+      t0 = now_s();
+      {
+        Span span("core.report_nt");
+        many = wmesh::run_report(ds, "etx");
+      }
+      tns_.push_back(now_s() - t0);
+      c_.check(!one.empty() && one == many,
+               "analyze: etx differs between 1 thread and N threads");
     }
-    tns_.push_back(now_s() - t0);
     ds = Dataset();
 
-    t0 = now_s();
-    std::string fleet;
-    {
-      Span span("store.fleet_analyze");
-      wmesh::store::FleetReader reader;
-      bool ok = reader.open(manifest_);
-      wmesh::store::FleetAnalyzer analyzer(reader);
-      ok = ok && analyzer.run("etx", &fleet);
-      c_.check(ok, "analyze: fleet: " + reader.error() + analyzer.error());
-      shards_opened_ = static_cast<double>(analyzer.totals().shards_opened);
-      fleet_rss_.push_back(
-          static_cast<double>(analyzer.totals().peak_rss_bytes) / kMiB);
+    for (int r = 0; r < kMultiThreadedRepeats; ++r) {
+      t0 = now_s();
+      std::string fleet;
+      {
+        Span span("store.fleet_analyze");
+        wmesh::store::FleetReader reader;
+        bool ok = reader.open(manifest_);
+        wmesh::store::FleetAnalyzer analyzer(reader);
+        ok = ok && analyzer.run("etx", &fleet);
+        c_.check(ok, "analyze: fleet: " + reader.error() + analyzer.error());
+        shards_opened_ = static_cast<double>(analyzer.totals().shards_opened);
+        fleet_rss_.push_back(
+            static_cast<double>(analyzer.totals().peak_rss_bytes) / kMiB);
+      }
+      fleet_s_.push_back(now_s() - t0);
+      if (c_.corrupt("analyze") && !fleet.empty()) fleet[fleet.size() / 2] ^= 1;
+      c_.check(fleet == many, "analyze: etx differs between N threads and fleet");
     }
-    fleet_s_.push_back(now_s() - t0);
     cpu_.push_back(cpu_s() - c0);
     headline(i, now_s() - it0);
-
-    if (c_.corrupt("analyze") && !fleet.empty()) fleet[fleet.size() / 2] ^= 1;
-    c_.check(!one.empty() && one == many && many == fleet,
-             "analyze: etx differs between 1 thread, N threads and fleet");
     reference_ = many;
   }
 
@@ -769,8 +795,10 @@ SessionResult serve_session(Ctx& c, const GeneratorConfig& cfg,
     clients.emplace_back(client_loop, std::ref(c), address, seed, networks,
                          std::cref(stop), &per_client[k]);
   }
+  // finished() takes the service mutex, so poll it rarely: a poller that
+  // wakes often competes with the ingest and the queries for the lock.
   while (!daemon->service().finished()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   r.ingest_s = now_s() - t0;
   r.rounds = daemon->service().rounds();
@@ -884,22 +912,24 @@ void attribute_serve(Ctx& c, const GeneratorConfig& cfg) {
 // An in-process ServeDaemon on a unix socket, one per session: it ingests
 // the stream while two closed-loop clients query it.  Check: no `err`
 // reply or timeout, and served exor/hidden/paths equal the batch reports
-// over the final window.  Serve runs only as a companion, on the full
-// default stream, in every workload.
+// over the final window.  Serve runs only as a companion, in every
+// workload, on serve_stream().
 class ServeStage : public Stage {
  public:
-  using Stage::Stage;
+  explicit ServeStage(Ctx& c) : Stage(c, false, true), stream_(c.serve_stream()) {}
 
   // Each session starts its own daemon.
   void setup() override {}
 
   void step(int i) override {
-    sessions_.push_back(serve_session(c_, cfg_, static_cast<std::uint64_t>(i)));
+    sessions_.push_back(with_threads(c_, kServeThreads, [&] {
+      return serve_session(c_, stream_, static_cast<std::uint64_t>(i));
+    }));
     samples_ += sessions_.back().samples.size();
   }
 
-  // At least one session, and enough samples for a tail-backed p95.
-  int planned() const override { return 1; }
+  // The planned sessions, and enough samples for a tail-backed p95.
+  int planned() const override { return kServeSessions; }
   bool companion_done(int steps) const override {
     return steps >= kMaxSessions ||
            (steps >= planned() && samples_ >= kMinQueries);
@@ -953,21 +983,27 @@ class ServeStage : public Stage {
     c_.layer("serve.connect_wait_ms", median(waits), "ms");
     c_.layer("serve.cache_hit_ratio", median(hit_ratio), "ratio");
     c_.layer("serve.invalidations", median(invalidations), "count");
-    if (c_.opt.trace) attribute_serve(c_, cfg_);
+    if (c_.opt.trace) {
+      with_threads(c_, kServeThreads, [&] {
+        attribute_serve(c_, stream_);
+        return 0;
+      });
+    }
   }
 
  private:
+  const GeneratorConfig stream_;
   std::vector<SessionResult> sessions_;
   std::size_t samples_ = 0;
 };
 
-// Serve is never a workload's own stage, and it runs on the full default
-// stream: a session on a shorter one answers too few queries for steady
-// percentiles.
+// Serve is never a workload's own stage.
 std::unique_ptr<Stage> make_stage(const std::string& name, Ctx& c, bool own) {
   if (name == "gen") return std::make_unique<GenStage>(c, own, own);
-  if (name == "analyze") return std::make_unique<AnalyzeStage>(c, own, own);
-  if (name == "serve" && !own) return std::make_unique<ServeStage>(c, false, true);
+  // The analyze companion runs at full scale: on the 1-hour fleet its
+  // out-of-core runs jumped by half whenever the host was loaded.
+  if (name == "analyze") return std::make_unique<AnalyzeStage>(c, own, true);
+  if (name == "serve" && !own) return std::make_unique<ServeStage>(c);
   return nullptr;
 }
 
