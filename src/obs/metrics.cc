@@ -27,6 +27,30 @@ std::vector<CounterBatch*>& batch_list() {
   return *l;
 }
 
+constexpr std::string_view kSpanHistogramPrefix = "span.";
+
+struct Quantiles {
+  double p50, p90, p99;
+};
+
+// p50/p90/p99 of `h`.  For a span's histogram (`span` set) they are clamped
+// to the aggregate's exact [min, max]: a bucket bound can lie past the
+// extremes (one 601 ms span sits in the 1,048,576 us bucket).  A record()
+// racing the snapshot may have set min but not yet max; such quantiles stay
+// unclamped.
+Quantiles quantiles(const Histogram& h, const SpanAggregate* span) {
+  Quantiles q{h.quantile(0.50), h.quantile(0.90), h.quantile(0.99)};
+  if (span == nullptr) return q;
+  const double lo = span->min();
+  const double hi = span->max();
+  if (lo <= hi) {
+    q.p50 = std::clamp(q.p50, lo, hi);
+    q.p90 = std::clamp(q.p90, lo, hi);
+    q.p99 = std::clamp(q.p99, lo, hi);
+  }
+  return q;
+}
+
 }  // namespace
 
 CounterBatch::CounterBatch() noexcept : prev_(t_counter_batch) {
@@ -264,7 +288,8 @@ Histogram& Registry::histogram(std::string_view name,
 }
 
 Histogram& Registry::span_histogram(std::string_view name) {
-  return histogram("span." + std::string(name), span_time_bounds_us());
+  return histogram(std::string(kSpanHistogramPrefix) + std::string(name),
+                   span_time_bounds_us());
 }
 
 SpanAggregate& Registry::span_aggregate(std::string_view name) {
@@ -292,14 +317,17 @@ Snapshot Registry::snapshot(SnapshotFlush flush) const {
     s.gauges.push_back({name, g.value()});
   }
   for (const auto& [name, h] : histograms_) {
-    Snapshot::HistogramRow row{name,
-                               h.count(),
-                               h.sum(),
-                               h.quantile(0.50),
-                               h.quantile(0.90),
-                               h.quantile(0.99),
-                               h.bounds(),
-                               {}};
+    // A span.<name> histogram reports its aggregate's clamped quantiles, so
+    // it agrees with the span row.
+    const SpanAggregate* owner = nullptr;
+    if (name.starts_with(kSpanHistogramPrefix)) {
+      const auto it = spans_.find(
+          std::string_view(name).substr(kSpanHistogramPrefix.size()));
+      if (it != spans_.end()) owner = &it->second;
+    }
+    const Quantiles q = quantiles(h, owner);
+    Snapshot::HistogramRow row{name,  h.count(), h.sum(),    q.p50,
+                               q.p90, q.p99,     h.bounds(), {}};
     row.cumulative.reserve(row.bounds.size());
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i < row.bounds.size(); ++i) {
@@ -311,10 +339,9 @@ Snapshot Registry::snapshot(SnapshotFlush flush) const {
     s.histograms.push_back(std::move(row));
   }
   for (const auto& [name, a] : spans_) {
-    const Histogram& h = a.histogram();
+    const Quantiles q = quantiles(a.histogram(), &a);
     s.spans.push_back({name, a.count(), a.total(), a.self_total(), a.min(),
-                       a.max(), h.quantile(0.50), h.quantile(0.90),
-                       h.quantile(0.99), a.parent_counts()});
+                       a.max(), q.p50, q.p90, q.p99, a.parent_counts()});
   }
   return s;  // std::map iteration is already name-sorted
 }

@@ -145,8 +145,11 @@ class Histogram {
   std::uint64_t bucket(std::size_t i) const noexcept {
     return buckets_[i].load(std::memory_order_relaxed);
   }
-  // Bucket-interpolated quantile (q in [0, 1]); 0 when empty.  Values in
-  // the overflow bucket report the last finite bound.
+  // Upper bound of the bucket holding the q-quantile (q in [0, 1]); 0 when
+  // empty.  Values in the overflow bucket report the last finite bound.  A
+  // bound can lie outside the observed range; in snapshots a span's
+  // quantiles (its span row and its span.<name> histogram row) are clamped
+  // to the aggregate's exact min/max.
   double quantile(double q) const noexcept;
   void reset() noexcept;
 

@@ -5,15 +5,6 @@
 
 namespace wmesh {
 
-double delivery_probability(const BitRate& rate,
-                            double effective_snr_db) noexcept {
-  const double z = (effective_snr_db - rate.thr50_db) / rate.width_db;
-  // Guard against overflow in exp for extreme SNRs.
-  if (z > 30.0) return 1.0;
-  if (z < -30.0) return 0.0;
-  return 1.0 / (1.0 + std::exp(-z));
-}
-
 double snr_for_delivery(const BitRate& rate, double p) noexcept {
   p = std::clamp(p, 1e-9, 1.0 - 1e-9);
   return rate.thr50_db + rate.width_db * std::log(p / (1.0 - p));

@@ -13,12 +13,22 @@
 // per-link SNR look-up tables outperform network-wide ones in §4.
 #pragma once
 
+#include <cmath>
+
 #include "phy/rates.h"
 
 namespace wmesh {
 
-// P(probe delivered | effective SNR), in [0, 1].
-double delivery_probability(const BitRate& rate, double effective_snr_db) noexcept;
+// P(probe delivered | effective SNR), in [0, 1].  Inline: the probe
+// simulator evaluates it once per channel sample.
+inline double delivery_probability(const BitRate& rate,
+                                   double effective_snr_db) noexcept {
+  const double z = (effective_snr_db - rate.thr50_db) / rate.width_db;
+  // Guard against overflow in exp for extreme SNRs.
+  if (z > 30.0) return 1.0;
+  if (z < -30.0) return 0.0;
+  return 1.0 / (1.0 + std::exp(-z));
+}
 
 // Inverse of delivery_probability: the effective SNR at which `rate`
 // delivers fraction `p` of probes.  p is clamped to (0, 1).

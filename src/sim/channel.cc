@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace wmesh {
 
@@ -156,6 +157,46 @@ ChannelModel::ProbeOutcome ChannelModel::sample_probe(std::size_t li,
   out.reported_snr_db = static_cast<float>(
       visible_snr + rng.normal(0.0, params_.meas_noise_db));
   return out;
+}
+
+void ChannelModel::sample_round(double t_s,
+                                std::span<ProbeOutcomeWindow> windows,
+                                std::span<float> last_snr, Rng& rng) const {
+  const auto rates = probed_rates(standard_);
+  const std::size_t n_rates = rates.size();
+  if (windows.size() < links_.size() * n_rates ||
+      last_snr.size() < links_.size() * n_rates) {
+    throw std::invalid_argument("sample_round: one slot per (link, rate)");
+  }
+  std::vector<double> interference(bursts_.size());
+  for (std::size_t node = 0; node < bursts_.size(); ++node) {
+    interference[node] = interference_db(static_cast<ApId>(node), t_s);
+  }
+
+  for (std::size_t li = 0; li < links_.size(); ++li) {
+    const LinkChannel& lc = links_[li];
+    const double visible_base = lc.static_snr_db + lc.slow_db;
+    const double keep = 1.0 - lc.base_loss;
+    const double interf = interference[lc.to];
+    ProbeOutcomeWindow* window = &windows[li * n_rates];
+    float* snr = &last_snr[li * n_rates];
+    for (std::size_t ri = 0; ri < n_rates; ++ri) {
+      // sample_probe()'s expressions, term for term.
+      const double visible_snr =
+          visible_base + rng.normal(0.0, params_.fast_sigma_db);
+      const double eff_snr = visible_snr + lc.hidden_offset_db +
+                             lc.rate_offset_db[ri] - interf;
+      const double p = keep * delivery_probability(rates[ri], eff_snr);
+      const bool delivered = rng.bernoulli(p);
+      window[ri].push(delivered);
+      if (delivered) {
+        snr[ri] = static_cast<float>(
+            visible_snr + rng.normal(0.0, params_.meas_noise_db));
+      } else {
+        rng.skip_normal();  // a lost probe's reported SNR is never read
+      }
+    }
+  }
 }
 
 double ChannelModel::mean_delivery(std::size_t li,

@@ -26,11 +26,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mesh/network.h"
 #include "phy/error_model.h"
 #include "phy/rates.h"
+#include "sim/probe_window.h"
 #include "util/rng.h"
 
 namespace wmesh {
@@ -130,6 +132,16 @@ class ChannelModel {
   };
   ProbeOutcome sample_probe(std::size_t li, RateIndex rate, double t_s,
                             Rng& rng) const;
+
+  // One probe round at time `t`: samples every (link, rate) in link-major
+  // order, pushes each outcome into windows[li * n_rates + rate] and stores
+  // each delivered probe's reported SNR in last_snr[same slot].  Makes the
+  // same engine calls with the same arithmetic as calling sample_probe()
+  // for every slot in that order, so the results are byte-identical; it
+  // evaluates interference once per receiver and draws inline instead.
+  // Throws std::invalid_argument when a span has fewer slots than that.
+  void sample_round(double t_s, std::span<ProbeOutcomeWindow> windows,
+                    std::span<float> last_snr, Rng& rng) const;
 
   // Interference depth (dB) at receiver `node` at time `t`.
   double interference_db(ApId node, double t_s) const noexcept;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "par/thread_pool.h"
 
@@ -28,10 +30,17 @@ NetworkProbeStream::NetworkProbeStream(const MeshNetwork& net,
       channel_(net, standard, channel_params, params.duration_s, rng_) {
   n_rates_ = probed_rates(standard).size();
   const std::size_t n_links = channel_.links().size();
-  const auto window_probes = static_cast<std::size_t>(
-      std::max(1.0, std::round(params_.window_s / params_.probe_interval_s)));
-  windows_.resize(n_links * n_rates_);
-  for (auto& w : windows_) w.configure(window_probes);
+  const double window_probes =
+      std::max(1.0, std::round(params_.window_s / params_.probe_interval_s));
+  if (window_probes > ProbeOutcomeWindow::kMaxCapacity) {
+    throw std::invalid_argument(
+        "probe window of " + std::to_string(params_.window_s) + " s at " +
+        std::to_string(params_.probe_interval_s) + " s per probe exceeds " +
+        std::to_string(ProbeOutcomeWindow::kMaxCapacity) + " probes");
+  }
+  windows_.assign(
+      n_links * n_rates_,
+      ProbeOutcomeWindow(static_cast<std::size_t>(window_probes)));
   last_snr_.assign(n_links * n_rates_, kNoSnr);
   next_t_ = params_.probe_interval_s;
   next_report_ = params_.report_interval_s;
@@ -71,15 +80,7 @@ bool NetworkProbeStream::advance_round(std::vector<ProbeSet>* out) {
   channel_.advance_slow_fading(t - prev_t_, rng_);
   prev_t_ = t;
 
-  for (std::size_t li = 0; li < n_links; ++li) {
-    for (std::size_t ri = 0; ri < n_rates_; ++ri) {
-      const auto outcome =
-          channel_.sample_probe(li, static_cast<RateIndex>(ri), t, rng_);
-      const std::size_t slot = li * n_rates_ + ri;
-      windows_[slot].push(outcome.delivered);
-      if (outcome.delivered) last_snr_[slot] = outcome.reported_snr_db;
-    }
-  }
+  channel_.sample_round(t, windows_, last_snr_, rng_);
   channel_samples_ += n_links * n_rates_;
 
   // Emit reports that are due.  Probe rounds are much finer than report

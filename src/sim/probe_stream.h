@@ -25,54 +25,18 @@
 
 #include "sim/channel.h"
 #include "sim/probe_sim.h"
+#include "sim/probe_window.h"
 #include "trace/records.h"
 #include "util/rng.h"
 
 namespace wmesh {
 
-// Per-(link, rate) sliding window of probe outcomes.  The window length in
-// probes is window_s / probe_interval_s (20 for the defaults); a plain ring
-// buffer of bits plus a received-count keeps updates O(1).
-class ProbeOutcomeWindow {
- public:
-  void configure(std::size_t capacity) {
-    bits_.assign(capacity, 0);
-    head_ = 0;
-    filled_ = 0;
-    received_ = 0;
-  }
-
-  void push(bool delivered) {
-    if (filled_ == bits_.size()) {
-      received_ -= bits_[head_];
-    } else {
-      ++filled_;
-    }
-    bits_[head_] = delivered ? 1 : 0;
-    received_ += bits_[head_];
-    head_ = (head_ + 1) % bits_.size();
-  }
-
-  std::size_t samples() const { return filled_; }
-  std::size_t received() const { return received_; }
-
-  double loss() const {
-    if (filled_ == 0) return 1.0;
-    return 1.0 -
-           static_cast<double>(received_) / static_cast<double>(filled_);
-  }
-
- private:
-  std::vector<std::uint8_t> bits_;
-  std::size_t head_ = 0;
-  std::size_t filled_ = 0;
-  std::size_t received_ = 0;
-};
-
 class NetworkProbeStream {
  public:
   // Builds the channel state for (net, standard); `rng` is consumed (the
   // channel construction draws from it first, then every probe round).
+  // Throws std::invalid_argument when window_s / probe_interval_s rounds
+  // above ProbeOutcomeWindow::kMaxCapacity (64) probes.
   NetworkProbeStream(const MeshNetwork& net, Standard standard,
                      const ChannelParams& channel_params,
                      const ProbeSimParams& params, Rng rng);

@@ -12,10 +12,15 @@
 namespace wmesh::obs {
 namespace {
 
+// The slow stage sleeps 400x longer than the fast one, so scheduler delay
+// on a loaded host cannot swap their medians.
+constexpr std::chrono::microseconds kFastSleep{50};
+constexpr std::chrono::microseconds kSlowSleep{20000};
+
 std::vector<BenchStage> two_stages() {
   return {
-      {"fast", [] { std::this_thread::sleep_for(std::chrono::microseconds(50)); }},
-      {"slow", [] { std::this_thread::sleep_for(std::chrono::microseconds(200)); }},
+      {"fast", [] { std::this_thread::sleep_for(kFastSleep); }},
+      {"slow", [] { std::this_thread::sleep_for(kSlowSleep); }},
   };
 }
 
@@ -44,6 +49,9 @@ TEST(BenchSuite, TimesEveryStageRepeatTimes) {
   EXPECT_EQ(r.stages[0].name, "fast");
   EXPECT_EQ(r.stages[1].name, "slow");
   EXPECT_LT(r.stages[0].median_us, r.stages[1].median_us);
+  // sleep_for never returns early.
+  EXPECT_GE(r.stages[0].median_us, static_cast<double>(kFastSleep.count()));
+  EXPECT_GE(r.stages[1].median_us, static_cast<double>(kSlowSleep.count()));
   EXPECT_NE(r.find("slow"), nullptr);
   EXPECT_EQ(r.find("absent"), nullptr);
 }

@@ -246,6 +246,69 @@ TEST(ObsSpanAggregate, SnapshotCarriesSpanRows) {
   EXPECT_NE(json.find("\"test.agg.snap\""), std::string::npos);
 }
 
+const Snapshot::SpanRow* find_span_row(const Snapshot& s,
+                                        const std::string& name) {
+  for (const auto& r : s.spans) {
+    if (r.name == name) return &r;
+  }
+  return nullptr;
+}
+
+TEST(ObsSpanAggregate, OneSampleSpanReportsItsOwnDuration) {
+  // 601 ms lands in the 1,048,576 us bucket; every quantile of one sample
+  // is the sample itself.
+  SpanAggregate& a = Registry::instance().span_aggregate("test.agg.one");
+  a.reset();
+  Registry::instance().span_histogram("test.agg.one").reset();
+  a.record(601000.0);
+  EXPECT_GT(a.histogram().quantile(0.5), 601000.0);  // the raw bucket bound
+
+  const Snapshot s = Registry::instance().snapshot();
+  const Snapshot::SpanRow* row = find_span_row(s, "test.agg.one");
+  ASSERT_NE(row, nullptr);
+  EXPECT_DOUBLE_EQ(row->p50_us, 601000.0);
+  EXPECT_DOUBLE_EQ(row->p90_us, 601000.0);
+  EXPECT_DOUBLE_EQ(row->p99_us, 601000.0);
+
+  // The span.<name> histogram row mirrors the same aggregate and agrees;
+  // its buckets, which the OpenMetrics exposition reads, stay raw.
+  const Snapshot::HistogramRow* hist = nullptr;
+  for (const auto& h : s.histograms) {
+    if (h.name == "span.test.agg.one") hist = &h;
+  }
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count, 1u);
+  EXPECT_DOUBLE_EQ(hist->p50, row->p50_us);
+  EXPECT_DOUBLE_EQ(hist->p90, row->p90_us);
+  EXPECT_DOUBLE_EQ(hist->p99, row->p99_us);
+  std::size_t first_hit = 0;
+  while (hist->cumulative[first_hit] == 0) ++first_hit;
+  EXPECT_GT(hist->bounds[first_hit], 601000.0);
+}
+
+TEST(ObsSpanAggregate, SnapshotQuantilesStayWithinMinAndMax) {
+  // The top sample sits in the (131072, 262144] bucket, so the raw p99 is
+  // the 262,144 us bound, above the observed max.
+  SpanAggregate& a = Registry::instance().span_aggregate("test.agg.p99");
+  a.reset();
+  Registry::instance().span_histogram("test.agg.p99").reset();
+  for (int i = 0; i < 9; ++i) a.record(300.0 + i);
+  a.record(179197.0);
+  EXPECT_GT(a.histogram().quantile(0.99), 179197.0);
+
+  const Snapshot s = Registry::instance().snapshot();
+  const Snapshot::SpanRow* row = find_span_row(s, "test.agg.p99");
+  ASSERT_NE(row, nullptr);
+  EXPECT_DOUBLE_EQ(row->max_us, 179197.0);
+  EXPECT_DOUBLE_EQ(row->min_us, 300.0);
+  for (const double q : {row->p50_us, row->p90_us, row->p99_us}) {
+    EXPECT_GE(q, row->min_us);
+    EXPECT_LE(q, row->max_us);
+  }
+  EXPECT_DOUBLE_EQ(row->p99_us, 179197.0);
+  EXPECT_LE(row->p50_us, 512.0);  // in-range quantiles keep their bucket
+}
+
 TEST(ObsSpanAggregate, ConcurrentRecordsKeepExactCountAndExtremes) {
   SpanAggregate& a = Registry::instance().span_aggregate("test.agg.mt");
   a.reset();

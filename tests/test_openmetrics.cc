@@ -6,6 +6,8 @@
 // counter monotonicity over the socket.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -296,8 +298,11 @@ TEST(OpenMetrics, MonotoneCheckFlagsCounterDecreases) {
 // a real socket while an analysis workload runs, scrape it twice mid-flight,
 // and lint everything the endpoint said.
 
+// Per-process: the suite runs both as the openmetrics_lint case and as
+// discovered tests, and `ctest -j` can run the two copies at once.
 std::string live_socket_path() {
-  return std::string(::testing::TempDir()) + "wmesh_om_live.sock";
+  return std::string(::testing::TempDir()) + "wmesh_om_live_" +
+         std::to_string(::getpid()) + ".sock";
 }
 
 TEST(OpenMetricsLive, MidFlightScrapeLintsCleanAndCountersAreMonotone) {

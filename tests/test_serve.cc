@@ -71,6 +71,15 @@ serve::ServeConfig service_config() {
   return sc;
 }
 
+// A path under the test temp dir that is unique to this process.  The
+// ServeSmoke and AlertsSmoke suites run both as named ctest cases and as
+// discovered tests, so `ctest -j` can run two copies at once; with shared
+// socket and report paths one copy unlinks the other's socket.
+std::string temp_path(const std::string& name) {
+  return std::string(::testing::TempDir()) + "wmesh_" +
+         std::to_string(::getpid()) + "_" + name;
+}
+
 bool same_float(float a, float b) {
   return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
 }
@@ -486,7 +495,7 @@ class FaultDaemon {
   }
 
   static std::string socket_path() {
-    return std::string(::testing::TempDir()) + "wmesh_serve_fault.sock";
+    return temp_path("serve_fault.sock");
   }
 
   int connect() const {
@@ -661,7 +670,7 @@ class AlertsDaemon {
   }
 
   static std::string socket_path() {
-    return std::string(::testing::TempDir()) + "wmesh_serve_alerts.sock";
+    return temp_path("serve_alerts.sock");
   }
 
   // One framed query over a fresh connection (the server is serial, so a
@@ -734,11 +743,10 @@ TEST(AlertsSmoke, BurnRuleFiresOnInducedErrorsAndResolvesAfterRecovery) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeSmoke, BinaryServesQueriesMetricsAndRunReport) {
-  const std::string dir = ::testing::TempDir();
-  const std::string query_addr = dir + "wmesh_serve_smoke_q.sock";
-  const std::string metrics_addr = dir + "wmesh_serve_smoke_m.sock";
-  const std::string report_path = dir + "wmesh_serve_smoke.report.json";
-  const std::string log_path = dir + "wmesh_serve_smoke.log";
+  const std::string query_addr = temp_path("serve_smoke_q.sock");
+  const std::string metrics_addr = temp_path("serve_smoke_m.sock");
+  const std::string report_path = temp_path("serve_smoke.report.json");
+  const std::string log_path = temp_path("serve_smoke.log");
   std::remove(query_addr.c_str());
   std::remove(metrics_addr.c_str());
   std::remove(report_path.c_str());
@@ -807,6 +815,9 @@ TEST(ServeSmoke, BinaryServesQueriesMetricsAndRunReport) {
             std::string::npos)
       << report;
   EXPECT_NE(report.find("\"tool\": \"wmesh_serve\""), std::string::npos);
+  // Per-process names do not overwrite each other; clean up after a pass.
+  std::remove(report_path.c_str());
+  std::remove(log_path.c_str());
 }
 
 }  // namespace

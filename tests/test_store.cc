@@ -161,8 +161,11 @@ TEST(StoreRoundTrip, InspectCountsMatchDataset) {
 
 // --- golden report equality over WSNAP ------------------------------------
 
+// The analysis name is a std::string, not a const char*: gtest prints a
+// char pointer's address into the listed test name, and an address that
+// moves with each run would give the case a different name every time.
 class StoreGoldenReport
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(StoreGoldenReport, MatchesCheckedInTextOverWsnap) {
   const auto [name, threads] = GetParam();
@@ -184,7 +187,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "mobility", "traffic", "etx"),
                        ::testing::Values(1, 8)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_t" +
+      return std::get<0>(info.param) + "_t" +
              std::to_string(std::get<1>(info.param));
     });
 
